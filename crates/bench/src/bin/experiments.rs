@@ -84,9 +84,6 @@ fn main() {
     if want("e13") {
         e13();
     }
-    if want("e14") {
-        e14();
-    }
     if want("e15") {
         e15();
     }
@@ -623,21 +620,19 @@ fn e13() {
 }
 
 /// E13, transport part — the same codec roundtrips driven over
-/// loopback TCP under both transports: the blocking
-/// thread-per-connection engine and the single-threaded epoll reactor.
-/// Every reactor response is asserted byte-identical to the direct
-/// in-process result (the blocking rows go through the same
-/// assertion), so the A/B compares cost only — the bytes are pinned.
+/// loopback TCP against the epoll reactor. Every response is asserted
+/// byte-identical to the direct in-process result, so the rows measure
+/// cost only — the bytes are pinned.
 fn e13_transport() {
     use partree_service::frame::{Histogram, Request, Response};
-    use partree_service::net::{Server, Transport};
+    use partree_service::net::Server;
     use partree_service::server::{Service, ServiceConfig};
     use partree_service::Client;
     use partree_service::FamilyId;
     use std::time::Duration;
 
-    println!("\n### E13  Transport A/B — thread-per-connection vs epoll reactor");
-    println!("one JSON line per (transport, connections); requests are sequential");
+    println!("\n### E13  Transport — epoll reactor over loopback TCP");
+    println!("one JSON line per connection count; requests are sequential");
     println!("encode+decode pairs, one per connection, bytes asserted identical");
     println!("to a direct in-process run; server_threads counts threads the");
     println!("server engine added while all connections were open\n");
@@ -681,156 +676,44 @@ fn e13_transport() {
     direct.shutdown();
 
     for &conns in &[100usize, 1000] {
-        for transport in [Transport::Blocking, Transport::Reactor] {
-            let server = Server::bind_with(
-                Service::start(ServiceConfig::default()),
-                "127.0.0.1:0",
-                transport,
-            )
-            .expect("bind");
-            let addr = server.addr();
-            let threads_before = live_threads();
-            // Paced in bursts under the listener backlog (128).
-            let mut clients = Vec::with_capacity(conns);
-            for burst in 0..conns.div_ceil(64) {
-                for _ in 0..64.min(conns - burst * 64) {
-                    clients.push(Client::connect(addr).expect("connect"));
-                }
-                std::thread::sleep(Duration::from_millis(1));
+        let server =
+            Server::bind(Service::start(ServiceConfig::default()), "127.0.0.1:0").expect("bind");
+        let addr = server.addr();
+        let threads_before = live_threads();
+        // Paced in bursts under the listener backlog (128).
+        let mut clients = Vec::with_capacity(conns);
+        for burst in 0..conns.div_ceil(64) {
+            for _ in 0..64.min(conns - burst * 64) {
+                clients.push(Client::connect(addr).expect("connect"));
             }
-            // Give the blocking engine time to finish spawning its
-            // per-connection handler threads before counting them.
-            std::thread::sleep(Duration::from_millis(50));
-            let server_threads = live_threads().saturating_sub(threads_before);
-
-            let t0 = Instant::now();
-            for (c, client) in clients.iter_mut().enumerate() {
-                let (hist, msg, want_bits, want_data) = &expected[c % expected.len()];
-                let (bits, data) = client.encode(hist, msg).expect("encode");
-                assert_eq!(
-                    (bits, &data),
-                    (*want_bits, want_data),
-                    "{transport:?}: encode bytes differ from the direct run"
-                );
-                let back = client.decode(hist, bits, &data).expect("decode");
-                assert_eq!(&back, msg, "{transport:?}: decode differs");
-            }
-            let elapsed_ms = ms(t0);
-            let requests = (conns * 2) as u64;
-            println!(
-                "{{\"experiment\":\"e13\",\"part\":\"transport\",\"transport\":\"{}\",\
-                 \"connections\":{conns},\"requests\":{requests},\
-                 \"elapsed_ms\":{elapsed_ms:.2},\"throughput_rps\":{:.0},\
-                 \"server_threads\":{server_threads}}}",
-                transport_label(transport),
-                requests as f64 / (elapsed_ms / 1e3),
-            );
-            drop(clients);
-            server.shutdown().expect("shutdown");
+            std::thread::sleep(Duration::from_millis(1));
         }
-    }
-}
+        std::thread::sleep(Duration::from_millis(50));
+        let server_threads = live_threads().saturating_sub(threads_before);
 
-fn transport_label(t: partree_service::net::Transport) -> &'static str {
-    match t {
-        partree_service::net::Transport::Blocking => "blocking",
-        partree_service::net::Transport::Reactor => "reactor",
-    }
-}
-
-/// E14 — runtime substrate A/B: spawn-per-call scoped threads (the
-/// pre-executor shim driver) vs the persistent `partree-exec` pool
-/// (schema in EXPERIMENTS.md § E14).
-///
-/// Two workloads: a `par_iter` map+sum sweep (the primitive huffman's
-/// inner loops are built from) at n ≥ 64k, where per-op wall-clock and
-/// thread-spawn counts are cleanly attributable, and the full
-/// `huffman_parallel` pipeline at DP-feasible sizes. The sweep also
-/// cross-checks the determinism contract: both substrates must produce
-/// bit-identical `f64` sums.
-fn e14() {
-    use rayon::prelude::*;
-
-    println!("\n## E14  Runtime substrate — spawn-per-call vs persistent pool");
-    println!("one JSON line per (workload, mode, n); thread_spawns counts OS threads");
-    println!("created during the measured reps (pool workers spawn once, before)\n");
-
-    let width = partree_pram::model::processors().clamp(2, 8);
-    let mut sum_bits: Option<(usize, u64)> = None;
-
-    // Workload 1: map+sum sweep, one par_iter op per rep.
-    for &n in &[65_536usize, 1_048_576] {
-        let xs: Vec<f64> = (1..=n).map(|i| 1.0 / i as f64).collect();
-        let reps = if n > 100_000 { 8 } else { 40 };
-        for legacy in [true, false] {
-            rayon::force_legacy_driver(legacy);
-            let op =
-                || -> f64 { with_threads(width, || xs.par_iter().map(|&x| x * 1.000_000_1).sum()) };
-            let warm = op();
-            if let Some((bn, bits)) = sum_bits {
-                assert!(
-                    bn != n || bits == warm.to_bits(),
-                    "substrates disagree on a deterministic f64 sum"
-                );
-            }
-            sum_bits = Some((n, warm.to_bits()));
-            let spawns0 = partree_exec::scoped_spawns();
-            let exec0 = partree_exec::global_snapshot();
-            let t0 = Instant::now();
-            for _ in 0..reps {
-                std::hint::black_box(op());
-            }
-            let elapsed_ms = ms(t0);
-            let spawns = partree_exec::scoped_spawns() - spawns0;
-            let exec = partree_exec::global_snapshot();
-            println!(
-                "{{\"experiment\":\"e14\",\"workload\":\"sweep\",\"mode\":\"{}\",\
-                 \"n\":{n},\"width\":{width},\"reps\":{reps},\
-                 \"elapsed_ms\":{elapsed_ms:.2},\"ms_per_op\":{:.3},\
-                 \"thread_spawns\":{spawns},\"spawns_per_op\":{:.1},\
-                 \"pool_blocks\":{},\"pool_steals\":{},\"pool_workers\":{}}}",
-                mode_label(legacy),
-                elapsed_ms / reps as f64,
-                spawns as f64 / reps as f64,
-                exec.blocks_executed - exec0.blocks_executed,
-                exec.steals - exec0.steals,
-                exec.workers,
+        let t0 = Instant::now();
+        for (c, client) in clients.iter_mut().enumerate() {
+            let (hist, msg, want_bits, want_data) = &expected[c % expected.len()];
+            let (bits, data) = client.encode(hist, msg).expect("encode");
+            assert_eq!(
+                (bits, &data),
+                (*want_bits, want_data),
+                "encode bytes differ from the direct run"
             );
+            let back = client.decode(hist, bits, &data).expect("decode");
+            assert_eq!(&back, msg, "decode differs");
         }
-    }
-
-    // Workload 2: the full parallel Huffman pipeline (quadratic DP, so
-    // sized accordingly; its inner loops are the sweep above).
-    for &n in &[512usize, 1024] {
-        let w = gen::zipf_weights(n, 1.07, 42);
-        for legacy in [true, false] {
-            rayon::force_legacy_driver(legacy);
-            let spawns0 = partree_exec::scoped_spawns();
-            let t0 = Instant::now();
-            let cost = with_threads(width, || {
-                huffman_parallel_cost_traced(&w, &CostTracer::disabled()).expect("valid weights")
-            });
-            let elapsed_ms = ms(t0);
-            let spawns = partree_exec::scoped_spawns() - spawns0;
-            println!(
-                "{{\"experiment\":\"e14\",\"workload\":\"huffman\",\"mode\":\"{}\",\
-                 \"n\":{n},\"width\":{width},\"reps\":1,\
-                 \"elapsed_ms\":{elapsed_ms:.2},\"ms_per_op\":{elapsed_ms:.2},\
-                 \"thread_spawns\":{spawns},\"spawns_per_op\":{spawns},\
-                 \"cost\":{:.3}}}",
-                mode_label(legacy),
-                cost.value(),
-            );
-        }
-    }
-    rayon::force_legacy_driver(false);
-}
-
-fn mode_label(legacy: bool) -> &'static str {
-    if legacy {
-        "spawn_per_call"
-    } else {
-        "pool"
+        let elapsed_ms = ms(t0);
+        let requests = (conns * 2) as u64;
+        println!(
+            "{{\"experiment\":\"e13\",\"part\":\"transport\",\"transport\":\"reactor\",\
+             \"connections\":{conns},\"requests\":{requests},\
+             \"elapsed_ms\":{elapsed_ms:.2},\"throughput_rps\":{:.0},\
+             \"server_threads\":{server_threads}}}",
+            requests as f64 / (elapsed_ms / 1e3),
+        );
+        drop(clients);
+        server.shutdown().expect("shutdown");
     }
 }
 
@@ -848,22 +731,13 @@ fn mode_label(legacy: bool) -> &'static str {
 fn e15() {
     use partree_gateway::{Gateway, GatewayConfig};
     use partree_service::frame::Histogram;
-    use partree_service::net::{Server, Transport};
+    use partree_service::net::Server;
     use partree_service::server::{Service, ServiceConfig};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 
-    // One env var A/Bs the whole experiment: PARTREE_TRANSPORT=reactor
-    // serves every replica off its epoll reactor and routes every
-    // gateway attempt through the shared rpc reactor.
-    let transport = Transport::from_env();
-
     println!("\n## E15  Replica gateway — sharded scaling and failover");
-    println!(
-        "transport: {} (set PARTREE_TRANSPORT to A/B)",
-        transport_label(transport)
-    );
     println!("one JSON line per fleet size, then one for the kill-one-replica run;");
     println!("constructions/cache_hits are summed over the surviving fleet\n");
 
@@ -893,15 +767,9 @@ fn e15() {
     // Part 1 — fleet scaling.
     for replicas in [1usize, 2, 3] {
         let servers: Vec<Server> = (0..replicas)
-            .map(|_| {
-                Server::bind_with(
-                    Service::start(ServiceConfig::default()),
-                    "127.0.0.1:0",
-                    transport,
-                )
-                .expect("bind")
-            })
-            .collect();
+            .map(|_| Server::bind(Service::start(ServiceConfig::default()), "127.0.0.1:0"))
+            .collect::<Result<_, _>>()
+            .expect("bind");
         let gw = Arc::new(Gateway::start(GatewayConfig::new(
             servers.iter().map(|s| s.addr()).collect(),
         )));
@@ -929,13 +797,12 @@ fn e15() {
         });
         let requests = (CLIENTS * PER_CLIENT) as u64;
         println!(
-            "{{\"experiment\":\"e15\",\"part\":\"scaling\",\"transport\":\"{}\",\
+            "{{\"experiment\":\"e15\",\"part\":\"scaling\",\"transport\":\"reactor\",\
              \"replicas\":{replicas},\
              \"clients\":{CLIENTS},\"requests\":{requests},\
              \"elapsed_ms\":{elapsed_ms:.2},\"throughput_rps\":{:.0},\
              \"hedges_issued\":{},\"retries\":{},\"constructions\":{constructions},\
              \"cache_hits\":{cache_hits}}}",
-            transport_label(transport),
             requests as f64 / (elapsed_ms / 1e3),
             snap.hedges_issued,
             snap.retries,
@@ -952,13 +819,9 @@ fn e15() {
     // Part 2 — kill one of three replicas mid-run.
     let mut servers: Vec<Option<Server>> = (0..3)
         .map(|_| {
-            Server::bind_with(
-                Service::start(ServiceConfig::default()),
-                "127.0.0.1:0",
-                transport,
-            )
-            .map(Some)
-            .expect("bind")
+            Server::bind(Service::start(ServiceConfig::default()), "127.0.0.1:0")
+                .map(Some)
+                .expect("bind")
         })
         .collect();
     let mut cfg = GatewayConfig::new(servers.iter().map(|s| s.as_ref().unwrap().addr()).collect());
@@ -997,13 +860,12 @@ fn e15() {
     let snap = gw.snapshot();
     let (ok, shed) = (ok.load(Ordering::Relaxed), shed.load(Ordering::Relaxed));
     println!(
-        "{{\"experiment\":\"e15\",\"part\":\"failover\",\"transport\":\"{}\",\
+        "{{\"experiment\":\"e15\",\"part\":\"failover\",\"transport\":\"reactor\",\
          \"replicas\":3,\"killed\":1,\
          \"clients\":{CLIENTS},\"ok\":{ok},\"shed\":{shed},\
          \"success_pct\":{:.2},\"elapsed_ms\":{elapsed_ms:.2},\
          \"retries\":{},\"failovers\":{},\"hedges_issued\":{},\"hedges_won\":{},\
          \"breaker_opened\":{}}}",
-        transport_label(transport),
         ok as f64 * 100.0 / (ok + shed).max(1) as f64,
         snap.retries,
         snap.failovers,

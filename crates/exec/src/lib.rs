@@ -46,7 +46,7 @@ pub mod metrics;
 pub mod model;
 mod sync;
 
-pub use metrics::{count_scoped_spawn, scoped_spawns, ExecSnapshot};
+pub use metrics::ExecSnapshot;
 
 use crate::sync::{fence, AtomicBool, AtomicUsize, Condvar, Mutex, Ordering};
 use deque::{Deque, Steal};
@@ -285,7 +285,6 @@ impl Pool {
             workers: get(&m.workers_spawned),
             // ordering: Relaxed — gauge read for display only.
             injector_depth: self.inner.injector_len.load(Ordering::Relaxed) as u64,
-            scoped_spawns: metrics::scoped_spawns(),
         }
     }
 
@@ -546,10 +545,7 @@ pub fn global() -> &'static Pool {
 pub fn global_snapshot() -> ExecSnapshot {
     match GLOBAL.get() {
         Some(pool) => pool.metrics_snapshot(),
-        None => ExecSnapshot {
-            scoped_spawns: metrics::scoped_spawns(),
-            ..ExecSnapshot::default()
-        },
+        None => ExecSnapshot::default(),
     }
 }
 

@@ -1,29 +1,9 @@
-//! Executor observability: per-pool counters plus a process-wide tally of
-//! legacy scoped spawns, exported as flat JSON in the same hand-rolled
-//! style as the service's `metrics.rs` (integer values, unknown keys
-//! skippable by readers).
+//! Executor observability: per-pool counters, exported as flat JSON in
+//! the same hand-rolled style as the service's `metrics.rs` (integer
+//! values, unknown keys skippable by readers).
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Thread spawns performed by the *legacy* spawn-per-call driver (the
-/// pre-executor rayon shim path, kept for A/B benchmarking). Process-wide
-/// because scoped spawns have no pool to hang off.
-static SCOPED_SPAWNS: AtomicU64 = AtomicU64::new(0);
-
-/// Records one legacy scoped-thread spawn. Called by the rayon shim's
-/// fallback driver so experiment E14 can contrast spawn-per-op against
-/// pool reuse.
-pub fn count_scoped_spawn() {
-    // ordering: Relaxed — statistical counter, no synchronization.
-    SCOPED_SPAWNS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Total legacy scoped-thread spawns so far in this process.
-pub fn scoped_spawns() -> u64 {
-    // ordering: Relaxed — statistical counter read.
-    SCOPED_SPAWNS.load(Ordering::Relaxed)
-}
 
 /// Monotonic counters for one [`crate::Pool`]. All relaxed: they count,
 /// they do not synchronize.
@@ -69,8 +49,6 @@ pub struct ExecSnapshot {
     pub workers: u64,
     /// Jobs sitting in the injector right now (gauge).
     pub injector_depth: u64,
-    /// Process-wide legacy scoped spawns (see [`scoped_spawns`]).
-    pub scoped_spawns: u64,
 }
 
 impl ExecSnapshot {
@@ -91,7 +69,6 @@ impl ExecSnapshot {
         field("joins", self.joins);
         field("workers", self.workers);
         field("injector_depth", self.injector_depth);
-        field("scoped_spawns", self.scoped_spawns);
         out.push('}');
         out
     }
@@ -125,7 +102,6 @@ impl ExecSnapshot {
                 "joins" => snap.joins = v,
                 "workers" => snap.workers = v,
                 "injector_depth" => snap.injector_depth = v,
-                "scoped_spawns" => snap.scoped_spawns = v,
                 _ => {} // forward compatibility
             }
         }
@@ -147,7 +123,6 @@ mod tests {
             joins: 7,
             workers: 4,
             injector_depth: 0,
-            scoped_spawns: 12,
         };
         let back = ExecSnapshot::from_json(&snap.to_json()).unwrap();
         assert_eq!(back, snap);

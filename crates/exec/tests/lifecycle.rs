@@ -95,13 +95,15 @@ fn fifty_build_drop_cycles_leak_no_threads() {
             .collect();
         pool.run_all(tasks);
         drop(pool);
-        if let Some(left) = threads_with_prefix(&prefix) {
-            assert!(
-                left.is_empty(),
-                "cycle {cycle}: {} worker(s) leaked ({prefix}*)",
-                left.len()
-            );
-        }
+        // `join` returns once the kernel clears the thread id, a moment
+        // before the task leaves /proc; a leaked worker never leaves.
+        assert!(
+            poll_until(
+                || threads_with_prefix(&prefix).is_none_or(|t| t.is_empty()),
+                Duration::from_secs(5),
+            ),
+            "cycle {cycle}: worker(s) leaked ({prefix}*)"
+        );
     }
 }
 

@@ -4,10 +4,10 @@
 //!
 //! ## Attempt lifecycle
 //!
-//! Each codec request walks its key's preference order. Attempts run on
-//! their own thread (the blocking client pins one request to one
-//! connection) and report back over a channel; the router's event loop
-//! decides what each outcome means:
+//! Each codec request walks its key's preference order. Attempts are
+//! non-blocking calls on the gateway's one shared rpc reactor
+//! ([`crate::reactor`]), which reports each outcome back over a
+//! channel; the router's event loop decides what each outcome means:
 //!
 //! | outcome                         | class     | breaker        |
 //! |---------------------------------|-----------|----------------|
@@ -28,9 +28,10 @@
 //! `max(hedge_after_min, 3 × EWMA of successful attempt latency)`, or
 //! `deadline / 4` before any data exists — one hedge is launched at the
 //! next replica in the preference order and the first response wins.
-//! The loser's thread finishes on its own, recording its replica's
-//! metrics and returning its connection itself, because the event loop
-//! may already have returned to the caller.
+//! The loser's completion callback still runs on the reactor thread,
+//! recording its replica's metrics and returning its connection to the
+//! idle pool, because the event loop may already have returned to the
+//! caller.
 //!
 //! ## Determinism
 //!
@@ -42,11 +43,9 @@
 
 use crate::breaker::{Breaker, BreakerConfig, BreakerState};
 use crate::metrics::{Metrics, ReplicaMetrics, ReplicaSnapshot};
-use crate::pool::ConnPool;
 use crate::reactor::RpcClient;
 use crate::route::{home, preference_order};
 use partree_service::frame::{ErrorCode, Histogram, Request, Response, WarmEntry};
-use partree_service::net::Transport;
 use partree_service::FamilyId;
 use std::io;
 use std::net::SocketAddr;
@@ -72,7 +71,7 @@ pub struct GatewayConfig {
     pub backoff_cap: Duration,
     /// Floor for the adaptive hedge threshold.
     pub hedge_after_min: Duration,
-    /// Idle connections kept per replica.
+    /// Idle reactor connections kept per replica.
     pub pool_cap: usize,
     /// TCP connect budget per attempt (also the probe io timeout).
     pub connect_timeout: Duration,
@@ -80,12 +79,6 @@ pub struct GatewayConfig {
     pub breaker: BreakerConfig,
     /// Health-probe period.
     pub probe_interval: Duration,
-    /// Attempt engine: `Blocking` pins each attempt to its own thread
-    /// and a blocking client; `Reactor` multiplexes every attempt on
-    /// one shared epoll thread. Defaults from `PARTREE_TRANSPORT` so
-    /// one environment variable A/Bs the gateway and the service
-    /// together.
-    pub transport: Transport,
     /// Most codebooks donated to a recovered replica before its
     /// breaker re-closes (fleet warm-up). `0` disables warm-up.
     pub warmup_keys: usize,
@@ -118,7 +111,6 @@ impl GatewayConfig {
             connect_timeout: Duration::from_millis(500),
             breaker: BreakerConfig::default(),
             probe_interval: Duration::from_millis(100),
-            transport: Transport::from_env(),
             warmup_keys: 32,
             warm_donors: env_usize("PARTREE_WARM_DONORS", 2),
         }
@@ -130,7 +122,6 @@ impl GatewayConfig {
 struct Replica {
     id: usize,
     addr: SocketAddr,
-    pool: ConnPool,
     breaker: Breaker,
     metrics: ReplicaMetrics,
     /// Last drain bit reported by a probe or inferred from `Busy`-free
@@ -159,14 +150,12 @@ struct Inner {
     stopped: AtomicBool,
     /// Codec requests currently inside [`Gateway::request`].
     inflight: AtomicU64,
-    /// Attempts currently alive (including hedge losers): threads on
-    /// the blocking transport, outstanding reactor calls otherwise.
-    attempt_threads: AtomicU64,
+    /// Reactor calls still outstanding (hedge losers included).
+    outstanding: AtomicU64,
     /// Jitter state for backoff.
     jitter_seed: AtomicU64,
-    /// The shared attempt reactor; `Some` iff
-    /// `cfg.transport == Transport::Reactor`.
-    rpc: Option<RpcClient>,
+    /// The shared reactor every attempt, probe and warm-up rides.
+    rpc: RpcClient,
 }
 
 impl Inner {
@@ -208,7 +197,7 @@ impl Inner {
     }
 }
 
-/// What one attempt thread reports back to the event loop.
+/// What one attempt's completion reports back to the event loop.
 struct AttemptReport {
     replica: usize,
     hedge: bool,
@@ -261,20 +250,14 @@ impl Gateway {
             .map(|(id, &addr)| Replica {
                 id,
                 addr,
-                pool: ConnPool::new(addr, cfg.pool_cap, cfg.connect_timeout),
                 breaker: Breaker::new(cfg.breaker),
                 metrics: ReplicaMetrics::default(),
                 draining: AtomicBool::new(false),
             })
             .collect();
-        let rpc = match cfg.transport {
-            Transport::Blocking => None,
-            Transport::Reactor => Some(
-                RpcClient::start(cfg.pool_cap)
-                    // lint: allow(no-unwrap): reactor startup happens once at gateway startup; failure there is resource exhaustion before any request exists
-                    .expect("start rpc reactor"),
-            ),
-        };
+        let rpc = RpcClient::start(cfg.pool_cap)
+            // lint: allow(no-unwrap): reactor startup happens once at gateway startup; failure there is resource exhaustion before any request exists
+            .expect("start rpc reactor");
         let inner = Arc::new(Inner {
             replicas,
             metrics: Metrics::default(),
@@ -282,7 +265,7 @@ impl Gateway {
             draining: AtomicBool::new(false),
             stopped: AtomicBool::new(false),
             inflight: AtomicU64::new(0),
-            attempt_threads: AtomicU64::new(0),
+            outstanding: AtomicU64::new(0),
             jitter_seed: AtomicU64::new(0x853c_49e6_748f_ea9b),
             rpc,
             cfg,
@@ -468,10 +451,10 @@ impl Gateway {
         self.inner.draining.store(true, Ordering::Relaxed);
     }
 
-    /// Drains, waits for in-flight requests and attempt threads (hedge
-    /// losers included) to finish, stops the prober, and closes every
-    /// pooled connection. Waits at most `deadline + 1s` past the drain
-    /// before giving up on stragglers.
+    /// Drains, waits for in-flight requests and outstanding attempts
+    /// (hedge losers included) to finish, stops the prober, and stops
+    /// the rpc reactor, closing every connection. Waits at most
+    /// `deadline + 1s` past the drain before giving up on stragglers.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
@@ -480,7 +463,7 @@ impl Gateway {
         self.drain();
         let give_up = Instant::now() + self.inner.cfg.deadline + Duration::from_secs(1);
         while (self.inner.inflight.load(Ordering::Relaxed) > 0
-            || self.inner.attempt_threads.load(Ordering::Relaxed) > 0)
+            || self.inner.outstanding.load(Ordering::Relaxed) > 0)
             && Instant::now() < give_up
         {
             thread::sleep(Duration::from_millis(1));
@@ -489,14 +472,9 @@ impl Gateway {
         if let Some(h) = self.prober.take() {
             let _ = h.join();
         }
-        for r in &self.inner.replicas {
-            r.pool.clear();
-        }
-        if let Some(rpc) = &self.inner.rpc {
-            // Straggler calls complete with a shutdown error via their
-            // drop guards as the reactor unwinds.
-            rpc.shutdown_in_place();
-        }
+        // Straggler calls complete with a shutdown error via their drop
+        // guards as the reactor unwinds.
+        self.inner.rpc.shutdown_in_place();
     }
 
     /// Current counters, breaker states, and latency histograms.
@@ -695,13 +673,10 @@ impl Gateway {
         r
     }
 
-    /// Launches one attempt. On the blocking transport this spawns a
-    /// thread that owns the whole attempt — checkout, request, metrics,
-    /// breaker, check-in — so a hedge loser finishes correctly even
-    /// after the event loop has returned. On the reactor transport the
-    /// attempt is a non-blocking call whose completion callback (run on
-    /// the reactor thread, hedge losers included) does the same
-    /// accounting through [`account_attempt`].
+    /// Launches one attempt as a non-blocking reactor call. Its
+    /// completion callback runs on the reactor thread — hedge losers
+    /// included, after the event loop may have returned — and does the
+    /// breaker and metrics accounting through [`account_attempt`].
     fn launch(
         &self,
         replica: usize,
@@ -710,50 +685,27 @@ impl Gateway {
         deadline: Instant,
         tx: &mpsc::Sender<AttemptReport>,
     ) {
-        let thread_inner = Arc::clone(&self.inner);
-        let request = Arc::clone(request);
-        let thread_tx = tx.clone();
-        self.inner.attempt_threads.fetch_add(1, Ordering::Relaxed);
-        if let Some(rpc) = &self.inner.rpc {
-            let r = &self.inner.replicas[replica];
-            r.metrics.attempts.fetch_add(1, Ordering::Relaxed);
-            let t0 = Instant::now();
-            rpc.call(
-                r.addr,
-                request,
-                deadline,
-                self.inner.cfg.connect_timeout,
-                move |outcome| {
-                    let outcome = account_attempt(&thread_inner, replica, t0, outcome);
-                    let _ = thread_tx.send(AttemptReport {
-                        replica,
-                        hedge,
-                        outcome,
-                    });
-                    thread_inner.attempt_threads.fetch_sub(1, Ordering::Relaxed);
-                },
-            );
-            return;
-        }
-        let spawned = thread::Builder::new()
-            .name(format!("gateway-attempt-{replica}"))
-            .spawn(move || {
-                let outcome = run_attempt(&thread_inner, replica, &request, deadline);
-                let _ = thread_tx.send(AttemptReport {
+        let inner = Arc::clone(&self.inner);
+        let tx = tx.clone();
+        let r = &self.inner.replicas[replica];
+        self.inner.outstanding.fetch_add(1, Ordering::Relaxed);
+        r.metrics.attempts.fetch_add(1, Ordering::Relaxed);
+        let t0 = Instant::now();
+        self.inner.rpc.call(
+            r.addr,
+            Arc::clone(request),
+            deadline,
+            self.inner.cfg.connect_timeout,
+            move |outcome| {
+                let outcome = account_attempt(&inner, replica, t0, outcome);
+                let _ = tx.send(AttemptReport {
                     replica,
                     hedge,
                     outcome,
                 });
-                thread_inner.attempt_threads.fetch_sub(1, Ordering::Relaxed);
-            });
-        if let Err(e) = spawned {
-            self.inner.attempt_threads.fetch_sub(1, Ordering::Relaxed);
-            let _ = tx.send(AttemptReport {
-                replica,
-                hedge,
-                outcome: Err(e),
-            });
-        }
+                inner.outstanding.fetch_sub(1, Ordering::Relaxed);
+            },
+        );
     }
 }
 
@@ -765,34 +717,9 @@ impl Drop for Gateway {
     }
 }
 
-/// One attempt, end to end, on the calling thread.
-fn run_attempt(
-    inner: &Inner,
-    replica: usize,
-    request: &Request,
-    deadline: Instant,
-) -> io::Result<Response> {
-    let r = &inner.replicas[replica];
-    r.metrics.attempts.fetch_add(1, Ordering::Relaxed);
-    let t0 = Instant::now();
-    let budget = deadline.saturating_duration_since(t0);
-    let result = (|| {
-        let mut conn = r
-            .pool
-            .checkout(Some(budget.max(Duration::from_millis(1))))?;
-        let resp = conn.request(request)?;
-        // Only a cleanly-answered connection is safe to reuse.
-        r.pool.checkin(conn);
-        Ok(resp)
-    })();
-    account_attempt(inner, replica, t0, result)
-}
-
-/// The transport-independent tail of an attempt: feeds the breaker and
-/// the per-replica counters, then hands the outcome back unchanged.
-/// The blocking path runs this on the attempt thread, the reactor path
-/// in the completion callback — identical outcomes produce identical
-/// breaker transitions and metrics either way.
+/// The tail of an attempt, run in its completion callback: feeds the
+/// breaker and the per-replica counters, then hands the outcome back
+/// unchanged.
 fn account_attempt(
     inner: &Inner,
     replica: usize,
@@ -851,22 +778,21 @@ pub fn breaker_counts_as_failure(outcome: &io::Result<Response>) -> bool {
 /// which is how an open breaker learns its replica recovered — one
 /// good ping re-closes it without waiting for half-open data traffic.
 fn prober_loop(inner: &Arc<Inner>) {
-    let io_timeout = Some(inner.cfg.connect_timeout);
     while !inner.stopped.load(Ordering::Relaxed) {
         for r in &inner.replicas {
             if inner.stopped.load(Ordering::Relaxed) {
                 return;
             }
-            let outcome = match &inner.rpc {
-                Some(rpc) => probe_over_rpc(rpc, r.addr, inner.cfg.connect_timeout),
-                None => r.pool.checkout(io_timeout).and_then(|mut conn| {
-                    let draining = conn.ping()?;
-                    r.pool.checkin(conn);
-                    Ok(draining)
-                }),
-            };
-            match outcome {
-                Ok(draining) => {
+            // A replica that closed an idle connection went away, even if
+            // it was back before this probe: count that as a failed probe,
+            // so a replica restarted between two probes still has its
+            // breaker opened and is warmed by the good ping below.
+            if inner.rpc.take_hang_up(r.addr) {
+                r.metrics.pings_failed.fetch_add(1, Ordering::Relaxed);
+                r.breaker.record_failure();
+            }
+            match call_and_wait(inner, r.addr, Request::Ping) {
+                Ok(Response::Pong { draining }) => {
                     r.metrics.pings_ok.fetch_add(1, Ordering::Relaxed);
                     r.draining.store(draining, Ordering::Relaxed);
                     // A good ping from a replica whose breaker is not
@@ -883,14 +809,11 @@ fn prober_loop(inner: &Arc<Inner>) {
                     }
                     r.breaker.record_success();
                 }
-                Err(_) => {
+                _ => {
                     r.metrics.pings_failed.fetch_add(1, Ordering::Relaxed);
                     r.breaker.record_failure();
                     // Idle connections to a failing replica are suspect.
-                    match &inner.rpc {
-                        Some(rpc) => rpc.purge(r.addr),
-                        None => r.pool.clear(),
-                    }
+                    inner.rpc.purge(r.addr);
                 }
             }
         }
@@ -916,12 +839,10 @@ fn prober_loop(inner: &Arc<Inner>) {
 /// are pushed (those are exactly the keys that failed over *away*
 /// from it while it was down, and the keys it will serve again the
 /// moment routing resumes). Everything here is best-effort over the
-/// blocking client — the protocol is transport-agnostic, and a failed
-/// donation changes nothing but the number of cold misses the replica
-/// pays later.
+/// same rpc reactor as data traffic — a failed donation changes nothing
+/// but the number of cold misses the replica pays later.
 fn warm_up_replica(inner: &Inner, target: &Replica) {
     let n = inner.replicas.len();
-    let io_timeout = Some(inner.cfg.connect_timeout);
     let max = inner.cfg.warmup_keys;
     let mut entries: Vec<WarmEntry> = Vec::new();
     let mut donors_used = 0usize;
@@ -935,12 +856,12 @@ fn warm_up_replica(inner: &Inner, target: &Replica) {
         {
             continue;
         }
-        let hot = donor.pool.checkout(io_timeout).and_then(|mut conn| {
-            let hot = conn.hot_set(max.min(u16::MAX as usize) as u16)?;
-            donor.pool.checkin(conn);
-            Ok(hot)
-        });
-        let Ok(hot) = hot else { continue };
+        let max_hot = max.min(u16::MAX as usize) as u16;
+        let Ok(Response::HotSet { entries: hot }) =
+            call_and_wait(inner, donor.addr, Request::HotSet { max: max_hot })
+        else {
+            continue;
+        };
         donors_used += 1;
         for e in hot {
             if entries.len() >= max {
@@ -970,12 +891,8 @@ fn warm_up_replica(inner: &Inner, target: &Replica) {
         return;
     }
     let sent = entries.len() as u64;
-    let pushed = target.pool.checkout(io_timeout).and_then(|mut conn| {
-        let counts = conn.warm_up(entries)?;
-        target.pool.checkin(conn);
-        Ok(counts)
-    });
-    if pushed.is_ok() {
+    let pushed = call_and_wait(inner, target.addr, Request::WarmUp { entries });
+    if matches!(pushed, Ok(Response::WarmedUp { .. })) {
         inner.metrics.warmups.fetch_add(1, Ordering::Relaxed);
         inner
             .metrics
@@ -984,14 +901,16 @@ fn warm_up_replica(inner: &Inner, target: &Replica) {
     }
 }
 
-/// One probe over the shared reactor: a `Ping` call bridged back to the
-/// prober thread through a channel. Probes bypass `Breaker::allow` in
-/// this mode too — the reactor dials unconditionally.
-fn probe_over_rpc(rpc: &RpcClient, addr: SocketAddr, budget: Duration) -> io::Result<bool> {
+/// One control-plane call (probe or warm-up) over the shared reactor,
+/// bridged back to the calling prober thread through a channel and
+/// bounded by `connect_timeout`. Probes bypass `Breaker::allow`: the
+/// reactor dials unconditionally.
+fn call_and_wait(inner: &Inner, addr: SocketAddr, request: Request) -> io::Result<Response> {
+    let budget = inner.cfg.connect_timeout;
     let (tx, rx) = mpsc::channel();
-    rpc.call(
+    inner.rpc.call(
         addr,
-        Arc::new(Request::Ping),
+        Arc::new(request),
         Instant::now() + budget,
         budget,
         move |outcome| {
@@ -1002,17 +921,13 @@ fn probe_over_rpc(rpc: &RpcClient, addr: SocketAddr, budget: Duration) -> io::Re
     // extra slack only covers its tick granularity. The callback's drop
     // guard guarantees an answer even across reactor shutdown, so a
     // recv timeout here is strictly a backstop.
-    match rx.recv_timeout(budget + Duration::from_millis(250)) {
-        Ok(Ok(Response::Pong { draining })) => Ok(draining),
-        Ok(Ok(other)) => Err(io::Error::other(format!(
-            "probe expected Pong, got {other:?}"
-        ))),
-        Ok(Err(e)) => Err(e),
-        Err(_) => Err(io::Error::new(
-            io::ErrorKind::TimedOut,
-            "probe reply never arrived",
-        )),
-    }
+    rx.recv_timeout(budget + Duration::from_millis(250))
+        .unwrap_or_else(|_| {
+            Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "rpc reply never arrived",
+            ))
+        })
 }
 
 #[cfg(test)]
@@ -1022,22 +937,26 @@ mod tests {
     use partree_service::server::{Service, ServiceConfig};
 
     fn fleet(n: usize) -> (Vec<Server>, Vec<SocketAddr>) {
-        fleet_on(n, Transport::Blocking)
-    }
-
-    fn fleet_on(n: usize, transport: Transport) -> (Vec<Server>, Vec<SocketAddr>) {
         let servers: Vec<Server> = (0..n)
-            .map(|_| {
-                Server::bind_with(
-                    Service::start(ServiceConfig::default()),
-                    "127.0.0.1:0",
-                    transport,
-                )
-                .unwrap()
-            })
+            .map(|_| Server::bind(Service::start(ServiceConfig::default()), "127.0.0.1:0").unwrap())
             .collect();
         let addrs = servers.iter().map(|s| s.addr()).collect();
         (servers, addrs)
+    }
+
+    /// Waits until every attempt launched at `replica` has resolved, so
+    /// a straggler (a hedge loser bound for a killed replica) cannot
+    /// reach the replica revived on its address before the prober does.
+    fn quiesce(gw: &Gateway, replica: usize) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while Instant::now() < deadline {
+            let r = &gw.snapshot().replicas[replica];
+            if r.attempts == r.successes + r.transport_errors + r.busy {
+                return;
+            }
+            thread::sleep(Duration::from_millis(5));
+        }
+        panic!("attempts at replica {replica} never resolved");
     }
 
     fn tiny_cfg(addrs: Vec<SocketAddr>) -> GatewayConfig {
@@ -1081,6 +1000,15 @@ mod tests {
         assert_eq!(snap.requests, 40);
         assert_eq!(snap.completed, 40);
         assert_eq!(snap.deadline_exceeded, 0);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while Instant::now() < deadline && gw.snapshot().replicas.iter().all(|r| r.pings_ok == 0) {
+            thread::sleep(Duration::from_millis(10));
+        }
+        let snap = gw.snapshot();
+        assert!(
+            snap.replicas.iter().any(|r| r.pings_ok > 0),
+            "rpc prober reached the fleet: {snap:?}"
+        );
 
         direct.shutdown();
         gw.shutdown();
@@ -1205,86 +1133,6 @@ mod tests {
     }
 
     #[test]
-    fn reactor_transport_roundtrips_and_matches_blocking() {
-        // Reactor on both sides: the fleet serves over the service
-        // reactor, the gateway attempts over the shared rpc reactor.
-        let (servers, addrs) = fleet_on(3, Transport::Reactor);
-        let mut cfg = tiny_cfg(addrs);
-        cfg.transport = Transport::Reactor;
-        let gw = Gateway::start(cfg);
-        let direct = Service::start(ServiceConfig::default());
-
-        for seed in 0u64..20 {
-            let payload: Vec<u8> = (0..512).map(|i| ((seed * 37 + i) % 6) as u8).collect();
-            let hist = Histogram::of_payload(6, &payload).unwrap();
-            let (bits, data) = gw.encode(&hist, &payload).unwrap();
-            match direct.submit(Request::Encode {
-                family: FamilyId::Huffman,
-                histogram: hist.clone(),
-                payload: payload.clone(),
-            }) {
-                Response::Encoded {
-                    bit_len,
-                    data: d_data,
-                } => assert_eq!(
-                    (bits, &data),
-                    (bit_len, &d_data),
-                    "reactor gateway == direct service"
-                ),
-                other => panic!("direct encode failed: {other:?}"),
-            }
-            assert_eq!(gw.decode(&hist, bits, &data).unwrap(), payload);
-        }
-
-        let snap = gw.snapshot();
-        assert_eq!(snap.requests, 40);
-        assert_eq!(snap.completed, 40);
-        assert_eq!(snap.deadline_exceeded, 0);
-        assert!(
-            snap.replicas.iter().any(|r| r.pings_ok > 0),
-            "rpc prober reached the fleet: {snap:?}"
-        );
-
-        direct.shutdown();
-        gw.shutdown();
-        for s in servers {
-            s.shutdown().unwrap();
-        }
-    }
-
-    #[test]
-    fn reactor_transport_fails_over_around_a_dead_replica() {
-        let (mut servers, addrs) = fleet_on(2, Transport::Reactor);
-        let mut cfg = tiny_cfg(addrs);
-        cfg.probe_interval = Duration::from_secs(30);
-        cfg.breaker.failure_threshold = 2;
-        cfg.transport = Transport::Reactor;
-        let gw = Gateway::start(cfg);
-
-        let mut homed = None;
-        for n in 2u32..40 {
-            let payload: Vec<u8> = (0..128).map(|i| (i % n as usize) as u8).collect();
-            let hist = Histogram::of_payload(n as usize, &payload).unwrap();
-            if preference_order(hist.hash64(), 2)[0] == 0 {
-                homed = Some((hist, payload));
-                break;
-            }
-        }
-        let (hist, payload) = homed.expect("some histogram homes on replica 0");
-        servers.remove(0).shutdown().unwrap();
-
-        let (bits, data) = gw.encode(&hist, &payload).unwrap();
-        assert_eq!(gw.decode(&hist, bits, &data).unwrap(), payload);
-
-        let snap = gw.snapshot();
-        assert!(snap.failovers >= 1, "winner was not the home: {snap:?}");
-        gw.shutdown();
-        for s in servers {
-            s.shutdown().unwrap();
-        }
-    }
-
-    #[test]
     fn recovered_replica_is_warmed_before_rejoining() {
         let (mut servers, addrs) = fleet(2);
         let mut cfg = tiny_cfg(addrs.clone());
@@ -1312,10 +1160,11 @@ mod tests {
         for _ in 0..4 {
             assert_eq!(gw.encode(&hist, &payload).unwrap(), expected);
         }
+        quiesce(&gw, 0);
 
         // Revive replica 0 on the same address, empty-cached.
         let svc0 = Service::start(ServiceConfig::default());
-        let revived = Server::bind_with(svc0.clone(), &addrs[0].to_string(), Transport::Blocking)
+        let revived = Server::bind(svc0.clone(), &addrs[0].to_string())
             .expect("rebind the killed replica's address");
 
         // The prober notices, warms it from replica 1, then re-closes
@@ -1484,9 +1333,10 @@ mod tests {
             gw.encode(&h1, &p1).unwrap();
             gw.encode(&h2, &p2).unwrap();
         }
+        quiesce(&gw, 0);
 
         let svc0 = Service::start(ServiceConfig::default());
-        let revived = Server::bind_with(svc0.clone(), &addrs[0].to_string(), Transport::Blocking)
+        let revived = Server::bind(svc0.clone(), &addrs[0].to_string())
             .expect("rebind the killed replica's address");
         let deadline = Instant::now() + Duration::from_secs(10);
         while Instant::now() < deadline && svc0.metrics().warmup_accepted < 2 {
@@ -1497,6 +1347,64 @@ mod tests {
             "both donors' books should arrive in the merged push: {:?}",
             svc0.metrics()
         );
+        gw.shutdown();
+        revived.shutdown().unwrap();
+        for s in servers {
+            s.shutdown().unwrap();
+        }
+    }
+
+    #[test]
+    fn replica_restarted_between_probes_is_still_warmed() {
+        // The prober's pings ride the reactor's idle pool, and the
+        // reactor drops an idle connection the moment its replica hangs
+        // up — so a replica killed and revived between two probes never
+        // fails a ping. The hang-up itself must open the breaker, so the
+        // next good ping donates before routing resumes.
+        let (mut servers, addrs) = fleet(2);
+        let mut cfg = tiny_cfg(addrs.clone());
+        cfg.probe_interval = Duration::from_millis(200);
+        cfg.breaker.failure_threshold = 1;
+        let gw = Gateway::start(cfg);
+        let (hist, payload) = (2u32..40)
+            .map(|n| {
+                let payload: Vec<u8> = (0..128).map(|i| (i % n as usize) as u8).collect();
+                (
+                    Histogram::of_payload(n as usize, &payload).unwrap(),
+                    payload,
+                )
+            })
+            .find(|(h, _)| preference_order(h.hash64(), 2)[0] == 0)
+            .expect("some histogram homes on replica 0");
+        // The donor holds a key its home has never built.
+        let expected = partree_service::Client::connect(addrs[1])
+            .unwrap()
+            .encode(&hist, &payload)
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while Instant::now() < deadline && gw.snapshot().replicas[0].pings_ok == 0 {
+            thread::sleep(Duration::from_millis(5));
+        }
+
+        servers.remove(0).shutdown().unwrap();
+        let svc0 = Service::start(ServiceConfig::default());
+        let revived = Server::bind(svc0.clone(), &addrs[0].to_string())
+            .expect("rebind the killed replica's address");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while Instant::now() < deadline && gw.snapshot().warmups == 0 {
+            thread::sleep(Duration::from_millis(10));
+        }
+        let snap = gw.snapshot();
+        assert!(snap.warmups >= 1, "restart went unnoticed: {snap:?}");
+        assert_eq!(gw.encode(&hist, &payload).unwrap(), expected);
+        let m0 = svc0.metrics();
+        assert_eq!(m0.warmup_accepted, 1, "{m0:?}");
+        assert_eq!(
+            (m0.encoded, m0.constructions),
+            (1, 0),
+            "home served warm: {m0:?}"
+        );
+
         gw.shutdown();
         revived.shutdown().unwrap();
         for s in servers {

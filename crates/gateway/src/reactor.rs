@@ -1,33 +1,31 @@
-//! The gateway's reactor RPC engine: every replica connection
-//! multiplexed on one epoll thread.
+//! The gateway's RPC engine: every replica connection multiplexed on
+//! one epoll thread.
 //!
-//! The blocking attempt path spawns a thread per attempt and parks it
-//! in a blocking [`partree_service::client::Client`] call. This module
-//! is the drop-in alternative: [`RpcClient::call`] hands the attempt
-//! to a single reactor thread that owns all sockets — non-blocking
+//! [`RpcClient::call`] hands an attempt, probe, or warm-up transfer to
+//! a single reactor thread that owns all sockets — non-blocking
 //! connects (`SO_ERROR` read once the socket polls writable),
 //! incremental frame decoding over partial reads, per-address idle
 //! pools, and a deadline sweep that turns stuck connects or replies
 //! into `TimedOut` errors.
 //!
-//! Semantics are kept deliberately identical to the blocking client:
+//! Semantics match the blocking [`partree_service::client::Client`]:
 //!
 //! * one outstanding request per connection — a connection is returned
 //!   to its idle pool only after a complete, id-matched response, and
 //!   discarded on **any** error (a mid-frame stream can never be
 //!   reused);
 //! * response ids must echo request ids, and undecodable responses
-//!   surface as `InvalidData`, byte-for-byte the same classification
-//!   the blocking path produces;
+//!   surface as `InvalidData`, the same classification the blocking
+//!   client produces;
 //! * every submitted call gets **exactly one** callback invocation,
 //!   enforced by a drop guard: calls still queued or in flight when
 //!   the client shuts down complete with an error instead of
-//!   vanishing (the gateway's `attempt_threads` accounting depends on
+//!   vanishing (the gateway's `outstanding` accounting depends on
 //!   this).
 //!
 //! Submission reuses the model-checked
 //! [`partree_service::waker::CompletionQueue`] handshake in the
-//! opposite direction: attempt threads are the producers, the reactor
+//! opposite direction: routing threads are the producers, the reactor
 //! is the sleeping consumer, and at most one `eventfd` write is paid
 //! per reactor sleep.
 
@@ -35,7 +33,7 @@ use partree_service::frame::{
     decode_response, encode_request, FrameDecoder, RawFrame, Request, Response,
 };
 use partree_service::waker::CompletionQueue;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -96,8 +94,8 @@ struct Call {
 /// Messages from gateway threads to the reactor.
 enum Msg {
     Call(Call),
-    /// Close every idle connection to `addr` (the prober's equivalent
-    /// of the blocking pool's clear-on-failed-ping).
+    /// Close every idle connection to `addr` (the prober's reaction to
+    /// a failed ping).
     Purge(SocketAddr),
 }
 
@@ -105,6 +103,9 @@ struct Shared {
     submits: CompletionQueue<Msg>,
     waker: mio::Waker,
     stop: AtomicBool,
+    /// Addresses whose peer closed an idle connection since the last
+    /// [`RpcClient::take_hang_up`].
+    hung_up: Mutex<HashSet<SocketAddr>>,
 }
 
 /// Handle to the reactor thread; the gateway owns exactly one.
@@ -121,7 +122,7 @@ impl std::fmt::Debug for RpcClient {
 
 impl RpcClient {
     /// Starts the reactor thread. `pool_cap` bounds idle connections
-    /// kept per replica address, mirroring the blocking pool.
+    /// kept per replica address.
     pub(crate) fn start(pool_cap: usize) -> io::Result<RpcClient> {
         let poll = mio::Poll::new()?;
         let waker = mio::Waker::new(&poll, WAKER)?;
@@ -129,6 +130,7 @@ impl RpcClient {
             submits: CompletionQueue::new(),
             waker,
             stop: AtomicBool::new(false),
+            hung_up: Mutex::new(HashSet::new()),
         });
         let loop_shared = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
@@ -174,6 +176,18 @@ impl RpcClient {
     /// Drops every idle connection to `addr`.
     pub(crate) fn purge(&self, addr: SocketAddr) {
         self.send(Msg::Purge(addr));
+    }
+
+    /// True once per hang-up: the peer at `addr` closed an idle
+    /// connection since the last call. A replica only closes idle
+    /// connections when it goes away, so this reports a death (or a
+    /// restart) even when no call to it ever failed.
+    pub(crate) fn take_hang_up(&self, addr: SocketAddr) -> bool {
+        self.shared
+            .hung_up
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove(&addr)
     }
 
     fn send(&self, msg: Msg) {
@@ -385,8 +399,15 @@ impl Loop {
             }
             State::Idle => {
                 // Any readiness on an idle connection means the peer
-                // closed it (or broke protocol): drop it quietly. The
-                // idle-list entry goes stale and is skipped on pop.
+                // closed it (or broke protocol): drop it and note the
+                // hang-up. The idle-list entry goes stale and is
+                // skipped on pop.
+                let addr = conn.addr;
+                self.shared
+                    .hung_up
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .insert(addr);
                 self.close(slot, freed);
             }
         }

@@ -32,10 +32,10 @@
 //! * [`server`] — [`server::Service`]: bounded queue, batch workers on
 //!   a [`rayon`] pool, `Busy` backpressure, per-request deadlines,
 //!   graceful shutdown;
-//! * [`net`] — [`net::Server`]: the loopback TCP front end, with a
-//!   [`net::Transport`] switch between a blocking thread-per-connection
-//!   engine and a single-threaded epoll reactor;
-//! * [`client`] — [`client::Client`]: a blocking loopback client;
+//! * [`net`] — [`net::Server`]: the loopback TCP front end, served by a
+//!   single-threaded epoll reactor;
+//! * [`client`] — [`client::Client`]: a blocking loopback client for
+//!   tests and tools;
 //! * [`waker`] — the reactor's cross-thread wakeup handshake
 //!   ([`waker::CompletionQueue`]), model-checked under
 //!   `--cfg partree_model`;

@@ -103,8 +103,8 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Where a job's response goes. The blocking transport waits on a
-/// channel; the reactor transport registers a callback that runs on
+/// Where a job's response goes. A direct [`Service::submit`] caller
+/// waits on a channel; the reactor registers a callback that runs on
 /// whichever worker thread finishes the job (it pushes the response
 /// onto the reactor's completion queue — cheap and non-blocking).
 pub(crate) enum ReplySink {
