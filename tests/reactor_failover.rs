@@ -1,8 +1,7 @@
-//! Integration: the gateway's failover battery re-run with the reactor
-//! transport on **both** sides — every replica serves over the service
-//! epoll reactor and every gateway attempt runs on the shared rpc
-//! reactor instead of an attempt thread. The bar is unchanged from the
-//! blocking-transport battery (`gateway_failover.rs`): one replica
+//! Integration: the gateway's failover battery with the reactor on
+//! **both** sides — every replica serves over the service epoll reactor
+//! and every gateway attempt runs on the shared rpc reactor. The bar
+//! matches `gateway_failover.rs` under a denser, paced load: one replica
 //! slowed by fault injection, another killed mid-load, ≥99% of
 //! requests succeed, and every success is byte-identical to a direct
 //! in-process service run. If the reactor path drops a frame,
@@ -11,8 +10,9 @@
 //! bug to hide behind a per-attempt thread.
 
 use partree::gateway::{Gateway, GatewayConfig};
+use partree::service::client::Client;
 use partree::service::frame::{Histogram, Request, Response};
-use partree::service::net::{Server, Transport};
+use partree::service::net::Server;
 use partree::service::server::{Service, ServiceConfig};
 use partree::service::FamilyId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,14 +80,7 @@ fn reactor_failover_under_load_stays_bit_identical() {
 
     let mut servers: Vec<Option<Server>> = (0..3)
         .map(|_| {
-            Some(
-                Server::bind_with(
-                    Service::start(ServiceConfig::default()),
-                    "127.0.0.1:0",
-                    Transport::Reactor,
-                )
-                .unwrap(),
-            )
+            Some(Server::bind(Service::start(ServiceConfig::default()), "127.0.0.1:0").unwrap())
         })
         .collect();
     let addrs = servers.iter().map(|s| s.as_ref().unwrap().addr()).collect();
@@ -96,7 +89,6 @@ fn reactor_failover_under_load_stays_bit_identical() {
     cfg.deadline = Duration::from_secs(2);
     cfg.probe_interval = Duration::from_millis(25);
     cfg.breaker.open_cooldown = Duration::from_millis(200);
-    cfg.transport = Transport::Reactor;
     let gw = Arc::new(Gateway::start(cfg));
 
     // Warm pass: primes every replica's codebook cache and the
@@ -180,42 +172,53 @@ fn reactor_failover_under_load_stays_bit_identical() {
     }
 }
 
-/// The two transports answer one mixed workload identically, replica
-/// fleet for replica fleet: the A/B the `PARTREE_TRANSPORT` switch
-/// promises, pinned down in-process.
+/// The two client transports left — the gateway's shared rpc reactor
+/// and the blocking [`Client`] speaking straight to one replica — answer
+/// one mixed workload identically, and both match a direct in-process
+/// run, encode and decode alike.
 #[test]
 fn both_transports_produce_identical_bytes() {
     let expected = build_expected();
 
-    for transport in [Transport::Blocking, Transport::Reactor] {
-        let servers: Vec<Server> = (0..2)
-            .map(|_| {
-                Server::bind_with(
-                    Service::start(ServiceConfig::default()),
-                    "127.0.0.1:0",
-                    transport,
-                )
-                .unwrap()
-            })
-            .collect();
-        let mut cfg = GatewayConfig::new(servers.iter().map(|s| s.addr()).collect());
-        cfg.transport = transport;
-        let gw = Gateway::start(cfg);
+    let servers: Vec<Server> = (0..2)
+        .map(|_| Server::bind(Service::start(ServiceConfig::default()), "127.0.0.1:0").unwrap())
+        .collect();
+    let gw = Gateway::start(GatewayConfig::new(
+        servers.iter().map(|s| s.addr()).collect(),
+    ));
+    let mut clients: Vec<Client> = servers
+        .iter()
+        .map(|s| Client::connect(s.addr()).unwrap())
+        .collect();
 
-        for (i, e) in expected.iter().enumerate() {
-            let (bits, data) = gw.encode(&e.hist, &e.payload).unwrap();
+    for (i, e) in expected.iter().enumerate() {
+        let (bits, data) = gw.encode(&e.hist, &e.payload).unwrap();
+        assert_eq!(
+            (bits, &data),
+            (e.bit_len, &e.data),
+            "gateway item {i}: bytes differ from direct run"
+        );
+        let back = gw.decode(&e.hist, e.bit_len, &e.data).unwrap();
+        assert_eq!(back, e.payload, "gateway item {i}: decode differs");
+
+        for (r, client) in clients.iter_mut().enumerate() {
+            let (bits, data) = client.encode(&e.hist, &e.payload).unwrap();
             assert_eq!(
                 (bits, &data),
                 (e.bit_len, &e.data),
-                "{transport:?} item {i}: bytes differ from direct run"
+                "client to replica {r} item {i}: bytes differ from direct run"
             );
-            let back = gw.decode(&e.hist, e.bit_len, &e.data).unwrap();
-            assert_eq!(back, e.payload, "{transport:?} item {i}: decode differs");
+            let back = client.decode(&e.hist, e.bit_len, &e.data).unwrap();
+            assert_eq!(
+                back, e.payload,
+                "client to replica {r} item {i}: decode differs"
+            );
         }
+    }
 
-        gw.shutdown();
-        for s in servers {
-            s.shutdown().unwrap();
-        }
+    drop(clients);
+    gw.shutdown();
+    for s in servers {
+        s.shutdown().unwrap();
     }
 }
