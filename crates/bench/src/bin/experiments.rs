@@ -637,7 +637,7 @@ fn e13_transport() {
     println!("to a direct in-process run; server_threads counts threads the");
     println!("server engine added while all connections were open\n");
 
-    let live_threads = || std::fs::read_dir("/proc/self/task").map_or(0, |d| d.count());
+    let live_threads = || partree_exec::procfs::live_threads().unwrap_or(0);
 
     let hists: Vec<Histogram> = vec![
         Histogram::new(vec![45, 13, 12, 16, 9, 5]).expect("valid"),

@@ -44,6 +44,7 @@ mod latch;
 pub mod metrics;
 #[cfg(partree_model)]
 pub mod model;
+pub mod procfs;
 mod sync;
 
 pub use metrics::ExecSnapshot;

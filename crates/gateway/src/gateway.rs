@@ -618,6 +618,10 @@ impl Gateway {
                             } else if in_flight.is_empty() {
                                 // Budget exhausted: surface the failure
                                 // as a direct client would.
+                                inner
+                                    .metrics
+                                    .retries_exhausted
+                                    .fetch_add(1, Ordering::Relaxed);
                                 return outcome;
                             }
                             // Budget exhausted but an attempt is still
@@ -1443,5 +1447,34 @@ mod tests {
         for s in servers {
             s.shutdown().unwrap();
         }
+    }
+
+    #[test]
+    fn requests_that_spend_their_retries_are_counted_as_exhausted() {
+        // A paused replica with no queue room answers every codec request
+        // `Busy`, so each request spends `max_retries` and then fails with
+        // nothing in flight.
+        let paused = ServiceConfig {
+            workers: 0,
+            queue_capacity: 0,
+            ..ServiceConfig::default()
+        };
+        let server = Server::bind(Service::start(paused), "127.0.0.1:0").unwrap();
+        let gw = Gateway::start(tiny_cfg(vec![server.addr()]));
+        let hist = Histogram::new(vec![1, 2]).unwrap();
+        for _ in 0..3 {
+            let err = gw.encode(&hist, &[0, 1, 1]).unwrap_err();
+            assert!(err.to_string().contains("Busy"), "{err}");
+        }
+        let snap = gw.snapshot();
+        let ended = snap.completed + snap.deadline_exceeded + snap.retries_exhausted;
+        assert_eq!((snap.requests, snap.retries_exhausted, ended), (3, 3, 3));
+        assert_eq!(
+            snap.retries,
+            3 * u64::from(GatewayConfig::new(vec![]).max_retries)
+        );
+        assert!(snap.to_json().contains("\"retries_exhausted\":3,"));
+        gw.shutdown();
+        server.shutdown().unwrap();
     }
 }

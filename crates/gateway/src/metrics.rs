@@ -83,6 +83,11 @@ pub struct Metrics {
     pub hedges_won: AtomicU64,
     /// Requests that exhausted their deadline budget.
     pub deadline_exceeded: AtomicU64,
+    /// Requests that failed after spending their retry budget, with no
+    /// attempt left in flight: the last attempt's failure is returned.
+    /// Every request ends in exactly one of `completed`,
+    /// `deadline_exceeded` and `retries_exhausted`.
+    pub retries_exhausted: AtomicU64,
     /// Requests routed with every breaker open (best-effort fallback to
     /// the full preference order).
     pub no_healthy_replica: AtomicU64,
@@ -148,6 +153,8 @@ pub struct GatewaySnapshot {
     pub hedges_won: u64,
     /// Deadline exhaustions.
     pub deadline_exceeded: u64,
+    /// Failures after the retry budget ran out.
+    pub retries_exhausted: u64,
     /// All-breakers-open fallbacks.
     pub no_healthy_replica: u64,
     /// Rejected during shutdown.
@@ -175,6 +182,7 @@ impl Metrics {
             hedges_issued: get(&self.hedges_issued),
             hedges_won: get(&self.hedges_won),
             deadline_exceeded: get(&self.deadline_exceeded),
+            retries_exhausted: get(&self.retries_exhausted),
             no_healthy_replica: get(&self.no_healthy_replica),
             rejected_shutdown: get(&self.rejected_shutdown),
             warmups: get(&self.warmups),
@@ -194,8 +202,8 @@ impl GatewaySnapshot {
             out,
             "{{\"requests\":{},\"completed\":{},\"retries\":{},\"failovers\":{},\
              \"hedges_issued\":{},\"hedges_won\":{},\"deadline_exceeded\":{},\
-             \"no_healthy_replica\":{},\"rejected_shutdown\":{},\"warmups\":{},\
-             \"warmup_keys_sent\":{},",
+             \"retries_exhausted\":{},\"no_healthy_replica\":{},\"rejected_shutdown\":{},\
+             \"warmups\":{},\"warmup_keys_sent\":{},",
             self.requests,
             self.completed,
             self.retries,
@@ -203,6 +211,7 @@ impl GatewaySnapshot {
             self.hedges_issued,
             self.hedges_won,
             self.deadline_exceeded,
+            self.retries_exhausted,
             self.no_healthy_replica,
             self.rejected_shutdown,
             self.warmups,

@@ -10,8 +10,8 @@
 //!
 //! Shutdown is cooperative and complete: [`Server::shutdown`] wakes the
 //! reactor through its eventfd waker and joins it before shutting the
-//! service down — no leaked threads or sockets, asserted by the
-//! `service-smoke` CI step and the `soak_reactor` suite.
+//! service down — no leaked threads or sockets, asserted by
+//! `fleet-sim service` and the `soak_reactor` suite.
 
 use crate::server::Service;
 use std::io;

@@ -16,6 +16,7 @@
 //! thread baselines are process-wide, so any test running beside it
 //! under the parallel harness would read as a leak.
 
+use partree_exec::procfs::Baseline;
 use partree_service::frame::{Histogram, Request, Response};
 use partree_service::net::Server;
 use partree_service::server::{Service, ServiceConfig};
@@ -23,16 +24,6 @@ use partree_service::Client;
 use partree_service::FamilyId;
 use std::net::TcpStream;
 use std::time::Duration;
-
-/// Open descriptors of this process, `read_dir`'s own fd included —
-/// the bias is identical in every call, so equality comparisons hold.
-fn open_fds() -> usize {
-    std::fs::read_dir("/proc/self/fd").unwrap().count()
-}
-
-fn live_threads() -> usize {
-    std::fs::read_dir("/proc/self/task").unwrap().count()
-}
 
 /// Connect `count` sockets and leave them idle. Paced in bursts well
 /// under the listener backlog (128) so no SYN is ever dropped while
@@ -71,8 +62,7 @@ fn reactor_soaks_thousands_of_idle_connections_without_leaks() {
         });
         svc.shutdown();
     }
-    let fd_baseline = open_fds();
-    let thread_baseline = live_threads();
+    let baseline = Baseline::take();
 
     {
         let server = Server::bind(Service::start(ServiceConfig::default()), "127.0.0.1:0").unwrap();
@@ -119,18 +109,7 @@ fn reactor_soaks_thousands_of_idle_connections_without_leaks() {
 
     // Everything opened by the soak is gone: sockets (both ends), the
     // reactor's epoll/eventfd, worker threads, the reactor thread.
-    // Closing 2×idle_target sockets is kernel work; give /proc a
-    // moment to settle before calling a residue a leak.
-    let mut fds = open_fds();
-    let mut threads = live_threads();
-    for _ in 0..50 {
-        if fds == fd_baseline && threads == thread_baseline {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-        fds = open_fds();
-        threads = live_threads();
-    }
-    assert_eq!(fds, fd_baseline, "file descriptors leaked by the soak");
-    assert_eq!(threads, thread_baseline, "threads leaked by the soak");
+    // Closing 2×idle_target sockets is kernel work, so /proc gets a
+    // moment to settle before a residue counts as a leak.
+    baseline.settle(Duration::from_secs(1)).unwrap();
 }

@@ -3,9 +3,9 @@
 //! documents that promise them. Where `lint` polices single lines,
 //! `contracts` polices *pairs of places that must agree* — the failure
 //! mode it exists for is silent drift: an opcode added to `frame.rs`
-//! but not to the EXPERIMENTS.md table, a counter asserted by a CI
-//! smoke bin that no snapshot ever emits, an env knob the README still
-//! advertises after the code stopped reading it.
+//! but not to the EXPERIMENTS.md table, a counter asserted by
+//! `fleet-sim` that no snapshot ever emits, an env knob the README
+//! still advertises after the code stopped reading it.
 //!
 //! Rules (names are what waivers reference):
 //!
@@ -17,10 +17,11 @@
 //!   doc line.
 //! * `errcode-undocumented` / `errcode-drift` — the same pair for
 //!   `ErrorCode` variants vs the `` `Name=N` `` error-code list.
-//! * `metric-unemitted` — a smoke bin under `crates/*/src/bin/` asserts
-//!   a counter field of a metrics snapshot (`snap.retries`,
-//!   `m.tier1_hits`, …) that no snapshot `to_json` emits; the CI signal
-//!   would pass or fail on a number operators can never see. Counter
+//! * `metric-unemitted` — a bin under `crates/*/src/bin/` (`fleet-sim`,
+//!   the experiments binary) asserts a counter field of a metrics
+//!   snapshot (`snap.retries`, `m.tier1_hits`, …) that no snapshot
+//!   `to_json` emits; the CI signal would pass or fail on a number
+//!   operators can never see. Counter
 //!   arrays (`family_requests: [u64; N]`) match their per-family key
 //!   templates (`family_{}_requests`).
 //! * `env-undocumented` — code reads a `PARTREE_*` variable the README
@@ -244,7 +245,7 @@ fn is_key_char(c: char) -> bool {
 }
 
 /// `family_{}_requests` (a per-family key template) collapses to the
-/// array field name `family_requests` that smoke bins index into.
+/// array field name `family_requests` that bins index into.
 fn canonical_key(raw: &str) -> String {
     raw.replace("{}_", "")
 }
@@ -328,7 +329,7 @@ fn to_json_bodies(src: &str) -> Vec<&str> {
 
 /// Counter fields (`pub name: u64` or `pub name: [u64; …]`) declared in
 /// a metrics source file — the universe of names whose assertion in a
-/// smoke bin implies a matching emitted key. Non-counter fields
+/// bin implies a matching emitted key. Non-counter fields
 /// (strings, bools, `Vec`s with reshaped emission like `latency` →
 /// `latency_log2_us`) are deliberately outside the contract.
 fn parse_counter_fields(src: &str) -> BTreeSet<String> {
@@ -349,7 +350,7 @@ fn parse_counter_fields(src: &str) -> BTreeSet<String> {
     out
 }
 
-/// Flags counter fields asserted in a smoke bin (`.name` access) that
+/// Flags counter fields asserted in a bin (`.name` access) that
 /// no snapshot `to_json` emits.
 pub fn check_metrics_file(
     path: &str,
@@ -520,7 +521,7 @@ pub fn contracts_tree(root: &Path) -> Vec<Finding> {
         ));
     }
 
-    // Metric names asserted by smoke bins vs emitted snapshot keys.
+    // Metric names asserted by bins vs emitted snapshot keys.
     let mut counters = BTreeSet::new();
     let mut emitted = BTreeSet::new();
     for rel in [
@@ -546,7 +547,7 @@ pub fn contracts_tree(root: &Path) -> Vec<Finding> {
     findings
 }
 
-/// Source files for a pass: with `bins_only`, the CI smoke bins
+/// Source files for a pass: with `bins_only`, the bins
 /// (`crates/*/src/bin/*.rs`); otherwise every `.rs` under `crates/*/src`
 /// and `vendor/*/src` (the rayon shim reads env vars too). `xtask`
 /// itself is skipped in both modes — its fixtures and token tables
